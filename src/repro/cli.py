@@ -69,15 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="directory for the demo environment (default: temp dir)",
     )
-    demo.add_argument(
-        "--persistence",
-        choices=HybridFramework.PERSISTENCE_MODES,
-        default="snapshot",
-        help=(
-            "how JCF/OMS state is persisted: 'snapshot' (whole-graph "
-            "save) or 'wal' (write-ahead log + compaction)"
-        ),
-    )
     subparsers.add_parser(
         "selfcheck", help="run one coupled flow and verify the invariants"
     )
@@ -218,20 +209,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="how long an open breaker fences its shard before letting "
              "one half-open probe through",
     )
-    serve.add_argument(
-        "--persistence",
-        choices=HybridFramework.PERSISTENCE_MODES,
-        default="wal",
-        help="persistence mode when building the default scenario",
-    )
     return parser
 
 
-def _demo_environment(
-    workspace: Optional[pathlib.Path], persistence: str = "snapshot"
-):
+def _demo_environment(workspace: Optional[pathlib.Path]):
     root = workspace or pathlib.Path(tempfile.mkdtemp(prefix="repro_demo_"))
-    hybrid = HybridFramework(root, persistence=persistence)
+    hybrid = HybridFramework(root)
     resources = hybrid.jcf.resources
     resources.define_user("admin", "demo_user")
     resources.define_team("admin", "demo_team")
@@ -303,14 +286,15 @@ def cmd_info(out) -> int:
     return 0
 
 
-def cmd_demo(
-    out,
-    workspace: Optional[pathlib.Path],
-    persistence: str = "snapshot",
-) -> int:
-    root, hybrid, project, library = _demo_environment(
-        workspace, persistence
-    )
+def cmd_demo(out, workspace: Optional[pathlib.Path]) -> int:
+    if workspace is not None and (workspace / "jcf").exists():
+        # the constructor would recover the saved state, and the demo's
+        # set-up would then collide with its own earlier run
+        raise ReproError(
+            f"{workspace} already holds a hybrid workspace; the demo "
+            "needs a fresh directory"
+        )
+    root, hybrid, project, library = _demo_environment(workspace)
     out.write(f"demo environment: {root}\n")
     results = _run_demo_flow(hybrid, project, library)
     for result in results:
@@ -400,32 +384,21 @@ def cmd_consult(out) -> int:
 def _open_for_inspection(workspace: Optional[pathlib.Path]):
     """A hybrid environment to audit/recover.
 
-    A saved workspace — one containing a JCF snapshot, or a WAL
-    directory (checkpoint + log) — is reopened in place, the restart
-    path recovery is designed for.  Naming a workspace with neither is
-    an error: auditing anything other than the named store would report
-    a state nobody asked about.  With no workspace at all, a demo
-    environment is built and its flow run, so the commands have a real
-    (healthy) coupling to inspect.
+    A saved workspace — one holding a WAL directory (checkpoint + log)
+    — is reopened in place, the restart path recovery is designed for.
+    Naming a workspace without one is an error: auditing anything other
+    than the named store would report a state nobody asked about.  With
+    no workspace at all, a demo environment is built and its flow run,
+    so the commands have a real (healthy) coupling to inspect.
     """
     if workspace is not None:
-        from repro.core.coupling import WAL_DIR_NAME
-        from repro.oms.wal import WriteAheadLog
-
-        has_snapshot = (
-            (workspace / HybridFramework.SNAPSHOT_NAME).exists()
-            or (workspace / HybridFramework.PREV_SNAPSHOT_NAME).exists()
-        )
-        has_wal = WriteAheadLog.present_at(
-            workspace / "jcf" / WAL_DIR_NAME
-        )
-        if not has_snapshot and not has_wal:
+        try:
+            return HybridFramework.reopen(workspace)
+        except FileNotFoundError as error:
             raise ReproError(
-                f"no {HybridFramework.SNAPSHOT_NAME} or WAL directory in "
-                f"{workspace}: not a saved hybrid workspace (see 'demo', "
+                f"{error}: not a saved hybrid workspace (see 'demo', "
                 "or HybridFramework.save_state())"
-            )
-        return HybridFramework.reopen(workspace)
+            ) from error
     root, hybrid, project, library = _demo_environment(None)
     _run_demo_flow(hybrid, project, library)
     return hybrid
@@ -445,8 +418,8 @@ def cmd_recover(out, workspace: Optional[pathlib.Path]) -> int:
     audit = hybrid.audit()
     out.write(audit.render() + "\n")
     if workspace is not None:
-        # persist the repaired state, or the next reopen would replay
-        # the pre-recovery snapshot and find the same wreckage again
+        # checkpoint the repaired state so the next reopen starts from
+        # it rather than replaying the wreckage and its repair again
         hybrid.save_state()
     return 0 if audit.clean else 1
 
@@ -532,9 +505,7 @@ def cmd_serve(out, args) -> int:
         from repro.workloads.loadgen import ScenarioSpec, build_scenario
 
         root = pathlib.Path(tempfile.mkdtemp(prefix="repro_serve_"))
-        hybrid, plans = build_scenario(
-            root / "env", ScenarioSpec(), persistence=args.persistence
-        )
+        hybrid, plans = build_scenario(root / "env", ScenarioSpec())
         out.write(
             f"serving fresh scenario in {root} "
             f"({len(plans)} designer sessions provisioned)\n"
@@ -586,7 +557,11 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     if args.command == "info":
         return cmd_info(out)
     if args.command == "demo":
-        return cmd_demo(out, args.workspace, args.persistence)
+        try:
+            return cmd_demo(out, args.workspace)
+        except ReproError as error:
+            out.write(f"error: {error}\n")
+            return 2
     if args.command == "selfcheck":
         return cmd_selfcheck(out)
     if args.command == "consult":

@@ -2,7 +2,7 @@
 
 The scrubber walks every at-rest representation the coupling owns —
 OMS blobs (including delta chains), staged files, FMCAD version files,
-``.meta`` files, the persisted snapshot — re-verifies each against its
+``.meta`` files, the JCF state checkpoint — re-verifies each against its
 recorded checksum, and classifies what it finds:
 
 * **bit-rot** — same size, wrong bytes (a flipped bit at rest);
@@ -44,10 +44,6 @@ from repro.oms.snapshot import verify_snapshot_bytes
 
 #: author recorded on ``.meta`` flushes performed by the scrubber
 SCRUB_USER = "scrubber"
-
-#: the persisted hybrid snapshot (HybridFramework.SNAPSHOT_NAME; kept as
-#: a literal here so the scrubber does not import the coupling layer)
-_SNAPSHOT_NAME = "jcf_snapshot.json"
 
 #: finding actions
 DETECTED = "detected"          # damage found, not (yet) handled
@@ -135,7 +131,6 @@ class Scrubber:
         jcf: JCFFramework,
         fmcad: FMCADFramework,
         quarantine_dir: Optional[pathlib.Path] = None,
-        snapshot_path: Optional[pathlib.Path] = None,
         user: str = SCRUB_USER,
     ) -> None:
         self.jcf = jcf
@@ -144,10 +139,6 @@ class Scrubber:
         root = self.jcf.root.parent
         self.quarantine_dir = pathlib.Path(
             quarantine_dir if quarantine_dir is not None else root / "quarantine"
-        )
-        self.snapshot_path = pathlib.Path(
-            snapshot_path if snapshot_path is not None
-            else root / _SNAPSHOT_NAME
         )
         self._manifest_path = self.quarantine_dir / "MANIFEST"
         #: location -> classification for everything already quarantined;
@@ -258,15 +249,14 @@ class Scrubber:
                 ScrubFinding("meta", meta_path, classification, detail=name)
             )
 
-        if self.snapshot_path.exists():
-            classification = verify_snapshot_bytes(
-                self.snapshot_path.read_bytes()
-            )
+        # the JCF state file; an in-memory framework has none
+        wal = self.jcf.wal
+        if wal is not None and wal.checkpoint_path.exists():
+            state_file = wal.checkpoint_path
+            classification = verify_snapshot_bytes(state_file.read_bytes())
             if classification is not None:
                 findings.append(
-                    ScrubFinding(
-                        "snapshot", str(self.snapshot_path), classification
-                    )
+                    ScrubFinding("snapshot", str(state_file), classification)
                 )
 
         return [f for f in findings if f.location not in self._manifest]
@@ -329,14 +319,11 @@ class Scrubber:
                 return False  # writer lock contended
             return library.metafile.verify() is None
         if finding.area == "snapshot":
-            # the live database is the repair source: re-dump it through
-            # the same atomic path save_state uses
-            tmp = self.snapshot_path.with_name(self.snapshot_path.name + ".tmp")
-            tmp.write_bytes(self.jcf.save_snapshot())
-            tmp.replace(self.snapshot_path)
-            return (
-                verify_snapshot_bytes(self.snapshot_path.read_bytes()) is None
-            )
+            # the live database is the repair source: a fresh checkpoint
+            # rewrites the state file through the verified WAL protocol
+            return verify_snapshot_bytes(
+                self.jcf.checkpoint().read_bytes()
+            ) is None
         return False
 
     def _peer_bytes(

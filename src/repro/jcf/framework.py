@@ -42,52 +42,33 @@ class JCFFramework:
         administrator: str = "admin",
         enable_procedural_interface: bool = False,
         allow_cross_project_sharing: bool = False,
-        snapshot: Optional[bytes] = None,
         wal: Optional["WriteAheadLog"] = None,
     ) -> None:
         self.root = pathlib.Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.clock = clock or SimClock()
         self.schema = build_jcf_schema()
-        if snapshot is not None and wal is not None:
-            raise ValueError(
-                "pass either snapshot= or wal=, not both: a WAL directory "
-                "carries its own checkpoint"
-            )
+        policy = {"cross_project_sharing": allow_cross_project_sharing}
         self.wal = wal
         self.wal_recovery = None
         if wal is not None:
-            # WAL persistence: rebuild from the last good checkpoint plus
-            # log replay (a fresh directory yields an empty database),
-            # then attach so every commit from here on is logged.  On a
-            # fresh install the bootstrap objects created below are the
-            # first records in the log.
+            # rebuild from the last good checkpoint plus log replay (a
+            # fresh directory yields an empty database), then attach so
+            # every commit from here on is logged
             self.db, self.wal_recovery = wal.recover(
                 self.schema,
                 clock=self.clock,
                 enable_procedural_interface=enable_procedural_interface,
-                policy={
-                    "cross_project_sharing": allow_cross_project_sharing
-                },
+                policy=policy,
             )
             self.db.attach_wal(wal)
-        elif snapshot is not None:
-            from repro.oms.snapshot import restore_snapshot
-
-            self.db = restore_snapshot(
-                self.schema,
-                snapshot,
-                clock=self.clock,
-                enable_procedural_interface=enable_procedural_interface,
-            )
         else:
+            # in-memory: nothing is persisted (unit tests)
             self.db = OMSDatabase(
                 self.schema,
                 clock=self.clock,
                 enable_procedural_interface=enable_procedural_interface,
-                policy={
-                    "cross_project_sharing": allow_cross_project_sharing
-                },
+                policy=policy,
             )
         self.query = QueryEngine(self.db)
         self.resources = ResourceManager(self.db, administrator=administrator)
@@ -99,10 +80,14 @@ class JCFFramework:
         self.versioning = VersioningService(self.db)
         self._default_staging = StagingArea(self.db, self.root / "staging")
         self._staging_local = threading.local()
-        if snapshot is not None or (
-            self.wal_recovery is not None and not self.wal_recovery.fresh
-        ):
-            self.flows.rehydrate()
+        if self.wal_recovery is not None:
+            if self.wal_recovery.fresh:
+                # the policy is not a logged object: only a checkpoint
+                # carries it, so a fresh workspace gets one right away
+                # (holding the bootstrap objects created above too)
+                self.checkpoint()
+            else:
+                self.flows.rehydrate()
 
     # -- staging ---------------------------------------------------------------
 
@@ -162,11 +147,10 @@ class JCFFramework:
         return dump_snapshot(self.db)
 
     def checkpoint(self) -> pathlib.Path:
-        """Compact the attached WAL (WAL persistence mode only)."""
+        """Compact the attached WAL into its checkpoint."""
         if self.wal is None:
             raise ValueError(
-                "checkpoint(): this framework has no attached WAL; "
-                "snapshot-mode persistence goes through save_snapshot()"
+                "checkpoint(): this framework is in-memory, with no WAL"
             )
         return self.wal.checkpoint(self.db)
 

@@ -6,7 +6,8 @@ restarts.  ``dump_snapshot`` serialises the complete object graph
 (objects, typed attributes, payloads, links) to JSON bytes;
 ``restore_snapshot`` rebuilds a database with identical object ids so
 every stored JCF reference (including ``jcf_oid`` tags in FMCAD
-properties) survives a restart.
+properties) survives a restart.  It is the format of the write-ahead
+log's checkpoint (:mod:`repro.oms.wal`).
 """
 
 from __future__ import annotations

@@ -111,7 +111,7 @@ class ReplayReport:
 def build_scenario(
     root: pathlib.Path,
     spec: ScenarioSpec,
-    persistence: str = "snapshot",
+    persistence: str = "wal",
 ) -> Tuple[Any, List[SessionPlan]]:
     """Build a fresh multi-team environment for *spec*.
 
@@ -119,10 +119,19 @@ def build_scenario(
     project; each designer gets one prepared cell per planned run, so
     the offered load carries no artificial write conflicts — contention
     under test is the server's, not the scenario's.
+
+    *persistence* is a compatibility keyword: WAL + checkpoint is the
+    only persistence, so it accepts ``"wal"`` (what benchmark manifests
+    pin) and raises :class:`ValueError` for anything else.
     """
     from repro.core.coupling import HybridFramework
 
-    hybrid = HybridFramework(root, persistence=persistence)
+    if persistence != "wal":
+        raise ValueError(
+            f"unsupported persistence {persistence!r}: WAL + checkpoint "
+            "is the only persistence"
+        )
+    hybrid = HybridFramework(root)
     resources = hybrid.jcf.resources
     hybrid.setup_standard_flow()
     plans: List[SessionPlan] = []
@@ -480,7 +489,7 @@ async def _smoke(args) -> int:
         cleanup = pathlib.Path(tempfile.mkdtemp(prefix="repro-loadgen-"))
         root = cleanup / "env"
     try:
-        hybrid, plans = build_scenario(root, spec, persistence=args.persistence)
+        hybrid, plans = build_scenario(root, spec)
         server = DesignServer(
             hybrid,
             shards=args.shards,
@@ -542,9 +551,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--queue-depth", type=int, default=256)
     parser.add_argument("--workers", type=int, default=4)
     parser.add_argument("--max-concurrent", type=int, default=32)
-    parser.add_argument(
-        "--persistence", choices=("snapshot", "wal"), default="wal"
-    )
     parser.add_argument(
         "--root", default=None,
         help="workspace directory (default: a throwaway tempdir)",

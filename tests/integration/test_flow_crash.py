@@ -25,7 +25,7 @@ from repro.oms.snapshot import dump_snapshot
 
 
 def build_environment(root):
-    hybrid = HybridFramework(root, persistence="wal")
+    hybrid = HybridFramework(root)
     resources = hybrid.jcf.resources
     resources.define_user("admin", "alice")
     resources.define_team("admin", "team1")

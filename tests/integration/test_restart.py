@@ -1,7 +1,8 @@
 """Integration: a hybrid environment survives a framework restart.
 
-JCF state persists as an OMS snapshot, FMCAD state as the on-disk
-library (version files, ``.meta``, property sidecars).  After
+JCF state persists as a write-ahead log over a checkpoint, FMCAD state
+as the on-disk library (version files, ``.meta``, property sidecars).
+Every commit is durable without an explicit save.  After
 ``HybridFramework.reopen`` the flow continues exactly where it stopped:
 reservations hold, flow progress is remembered, derivation recording
 resumes, and the consistency scan still cross-checks both sides.
@@ -143,3 +144,63 @@ class TestReopen:
         library2 = again.fmcad.library("lib")
         assert len(library2.cellview("buf2", "schematic").versions) == 1
         assert library2.orphaned_files()  # the file is still on disk
+
+def library_versions(hybrid):
+    """``library/cell/view`` -> version numbers of every open library."""
+    return {
+        f"{library.name}/{cellview.name}": [
+            version.number for version in cellview.versions
+        ]
+        for library in hybrid.fmcad.libraries()
+        for cellview in library.cellviews()
+    }
+
+
+class TestDurableByDefault:
+    def test_checkin_survives_restart_without_save(self, tmp_path):
+        root = tmp_path / "site"
+        hybrid = HybridFramework(root)
+        hybrid.jcf.resources.define_user("admin", "alice")
+        hybrid.jcf.resources.define_team("admin", "team")
+        hybrid.jcf.resources.add_member("admin", "alice", "team")
+        hybrid.setup_standard_flow()
+        library = hybrid.fmcad.create_library("lib")
+        library.create_cell("buf2")
+        project = hybrid.adopt_library("alice", library, "proj")
+        hybrid.jcf.resources.assign_team_to_project("admin", "team",
+                                                    project.oid)
+        hybrid.prepare_cell("alice", project, "buf2", team_name="team")
+        result = hybrid.run_schematic_entry(
+            "alice", project, library, "buf2", inverter_chain_editor(2)
+        )
+        assert result.success
+        # no save_state(): the process simply goes away
+
+        reopened = HybridFramework.reopen(root)
+        cell_version = reopened.jcf.project("proj").cell("buf2").latest_version()
+        variant = cell_version.variant(WORKING_VARIANT)
+        state = reopened.jcf.engine.state_of(variant)
+        assert state.status_by_activity["schematic_entry"] == "done"
+        cellview = reopened.fmcad.library("lib").cellview("buf2", "schematic")
+        assert cellview.default_version is not None
+        audit = reopened.audit()
+        assert audit.clean, audit.render()
+
+    def test_constructor_on_saved_root_matches_reopen(self, saved_environment):
+        constructed = HybridFramework(saved_environment)
+        reopened = HybridFramework.reopen(saved_environment)
+        assert sorted(
+            library.name for library in constructed.fmcad.libraries()
+        ) == ["lib"]
+        assert library_versions(constructed) == library_versions(reopened)
+        assert library_versions(constructed)["lib/buf2/schematic"] == [1]
+        assert constructed.audit().clean
+        assert reopened.audit().clean
+
+    def test_policy_survives_reopen_before_first_checkpoint(self, tmp_path):
+        root = tmp_path / "site"
+        hybrid = HybridFramework(root, allow_cross_project_sharing=True)
+        hybrid.jcf.resources.define_user("admin", "alice")
+
+        reopened = HybridFramework.reopen(root)
+        assert reopened.jcf.db.policy["cross_project_sharing"] is True

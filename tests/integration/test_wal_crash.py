@@ -1,9 +1,8 @@
 """Integration: crash the WAL at every append/checkpoint window, restart.
 
-The WAL extension of the crash matrix: a coupled workload runs on a
-``persistence="wal"`` environment with a deterministic crash scheduled
-at the ``wal.append`` / ``wal.checkpoint`` fault points, the process is
-"restarted" (``HybridFramework.reopen`` on the same root), recovery
+The WAL extension of the crash matrix: a coupled workload runs with a
+deterministic crash scheduled at the ``wal.append`` / ``wal.checkpoint``
+fault points, the process is "restarted" (``HybridFramework.reopen`` on the same root), recovery
 runs, and the audit must come back clean.  Replay convergence is
 asserted by reopening twice — the double-replay fixpoint.
 """
@@ -17,7 +16,7 @@ from tests.conftest import build_inverter_editor_fn, inverter_testbench_fn
 
 
 def build_environment(root):
-    hybrid = HybridFramework(root, persistence="wal")
+    hybrid = HybridFramework(root)
     resources = hybrid.jcf.resources
     resources.define_user("admin", "alice")
     resources.define_team("admin", "team1")

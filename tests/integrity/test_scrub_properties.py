@@ -73,9 +73,9 @@ def checksummed_files(root: pathlib.Path):
     if libs.is_dir():
         candidates.extend(libs.rglob("*.dat"))
         candidates.extend(libs.rglob(".meta"))
-    snapshot = root / "jcf_snapshot.json"
-    if snapshot.exists():
-        candidates.append(snapshot)
+    checkpoint = root / "jcf" / "wal" / "checkpoint.json"
+    if checkpoint.exists():
+        candidates.append(checkpoint)
     return sorted(set(candidates))
 
 

@@ -132,7 +132,7 @@ class TestDetectAndRepair:
         hybrid, project, library, _ = adopted_cell
         run_flow(hybrid, project, library)
         hybrid.save_state()
-        snapshot = hybrid.root / hybrid.SNAPSHOT_NAME
+        snapshot = hybrid.root / "jcf" / "wal" / "checkpoint.json"
         snapshot.write_bytes(damaged_copy(snapshot.read_bytes()))
 
         scrubber = Scrubber(hybrid.jcf, hybrid.fmcad)
@@ -144,6 +144,7 @@ class TestDetectAndRepair:
         from repro.oms.snapshot import verify_snapshot_bytes
 
         assert verify_snapshot_bytes(snapshot.read_bytes()) is None
+        assert hybrid.jcf.wal.verify() == []
 
 
 class TestQuarantine:

@@ -101,6 +101,13 @@ class TestAuditRecover:
         assert code == 0
         assert "audit: clean" in text
 
+    def test_demo_refuses_existing_workspace(self, tmp_path):
+        workspace = tmp_path / "ws"
+        assert run_cli(["demo", "--workspace", str(workspace)])[0] == 0
+        code, text = run_cli(["demo", "--workspace", str(workspace)])
+        assert code == 2
+        assert "error:" in text and "fresh directory" in text
+
     def test_crashed_workspace_audits_dirty_then_recovers(self, tmp_path):
         from repro.core import HybridFramework
         from repro.faults import CrashFault, FaultPlan, inject

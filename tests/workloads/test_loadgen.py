@@ -52,6 +52,11 @@ class TestBuildScenario:
         for plan in plans:
             assert resources.is_member(plan.user, plan.team)
 
+    def test_only_wal_persistence_is_accepted(self, tmp_path):
+        build_scenario(tmp_path / "env", self.SPEC, persistence="wal")
+        with pytest.raises(ValueError):
+            build_scenario(tmp_path / "old", self.SPEC, persistence="snapshot")
+
 
 class TestReplayReport:
     def test_throughput_from_simulated_makespan(self):
