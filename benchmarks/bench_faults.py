@@ -11,7 +11,7 @@ measurable.  This benchmark
    real wall time (**must stay under 2%**);
 2. **recovery latency** — crashes a coupled run at each representative
    fault point, then measures the wall time of
-   ``CouplingRecovery.recover()`` and reports what it repaired, with the
+   ``HybridFramework.recover()`` and reports what it repaired, with the
    cross-framework audit asserting the repair was complete.
 
 Run standalone (``python benchmarks/bench_faults.py [--smoke]``) or via
@@ -177,10 +177,10 @@ def run_recovery_latency() -> Tuple[List[List[str]], Dict[str, float]]:
         except CrashFault:
             pass
         start = time.perf_counter()
-        report = hybrid.recovery.recover()
+        report = hybrid.recover()
         recover_ms = (time.perf_counter() - start) * 1e3
         worst_ms = max(worst_ms, recover_ms)
-        audit = hybrid.guard.audit()
+        audit = hybrid.audit()
         assert audit.clean, (
             f"recovery after crash at {point} left a dirty audit:\n"
             f"{audit.render()}"
@@ -232,7 +232,7 @@ def run_bench() -> Tuple[str, Dict[str, float]]:
     )
     report += (
         "\n\n2. recovery latency — crash a coupled run at each point,\n"
-        "   then time CouplingRecovery.recover() (audit must end clean)\n\n"
+        "   then time HybridFramework.recover() (audit must end clean)\n\n"
     )
     report += format_table(
         ["crash point", "tickets", "dropped", "retagged", "total repairs",

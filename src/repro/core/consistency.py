@@ -4,33 +4,30 @@ Section 2.4: "The customization of the encapsulation was extended by
 several extension language procedures to trigger functions and lock menu
 points in order to prevent data inconsistency."  The guard here is
 written *in* the FMCAD extension language (menu locking), installs an ITC
-interceptor (wrapper mediation), and provides the cross-checks that make
-the hybrid framework's "more powerful data consistency check" (Section
-3.2) measurable.
+interceptor (wrapper mediation), and provides the per-library scan that
+makes the hybrid framework's "more powerful data consistency check"
+(Section 3.2) measurable against FMCAD's empty baseline (E32).
+
+The crash-consistency audit of the whole coupling is not here: what
+counts as a crash leaving, and how it is repaired, is one table in
+:mod:`repro.core.recovery`, run by ``HybridFramework.audit()`` and
+``HybridFramework.recover()``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.core.hierarchy import HierarchyManager
 from repro.errors import IntegrityError
-from repro.integrity.scrub import Scrubber
 from repro.core.mapping import DataModelMapper
-from repro.core.recovery import IntentJournal
 from repro.fmcad.framework import FMCADFramework
 from repro.fmcad.itc import ITCMessage
 from repro.fmcad.library import Library
 from repro.fmcad.session import ToolSession
 from repro.jcf.framework import JCFFramework
-from repro.jcf.model import (
-    EXEC_RUNNING,
-    FLOW_DEAD_LETTER,
-    FLOW_RUNNING,
-    FLOW_TERMINAL_STATES,
-)
-from repro.jcf.project import JCFCellVersion, JCFProject
+from repro.jcf.project import JCFProject
 
 #: Menu points the guard locks in every coupled tool session: versioning
 #: and hierarchy manipulation belong to the master framework now.
@@ -50,44 +47,6 @@ GUARD_PROGRAM = """
   (guard-menu sid "purge_versions")
   t)
 """
-
-
-@dataclasses.dataclass(frozen=True)
-class AuditFinding:
-    """One cross-framework invariant violation found by :meth:`audit`."""
-
-    category: str
-    detail: str
-
-    def __str__(self) -> str:
-        return f"[{self.category}] {self.detail}"
-
-
-@dataclasses.dataclass
-class AuditReport:
-    """Outcome of one cross-framework audit pass."""
-
-    findings: List[AuditFinding] = dataclasses.field(default_factory=list)
-
-    @property
-    def clean(self) -> bool:
-        return not self.findings
-
-    def by_category(self) -> Dict[str, List[AuditFinding]]:
-        grouped: Dict[str, List[AuditFinding]] = {}
-        for finding in self.findings:
-            grouped.setdefault(finding.category, []).append(finding)
-        return grouped
-
-    def render(self) -> str:
-        if self.clean:
-            return "audit: clean"
-        lines = [f"audit: {len(self.findings)} finding(s)"]
-        for category, findings in sorted(self.by_category().items()):
-            lines.append(f"  {category}: {len(findings)}")
-            for finding in findings:
-                lines.append(f"    - {finding.detail}")
-        return "\n".join(lines)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -116,7 +75,6 @@ class ConsistencyGuard:
         self.fmcad = fmcad
         self.mapper = mapper
         self.hierarchy = hierarchy
-        self.intents = IntentJournal(jcf.db)
         self._interceptor_installed = False
         fmcad.interpreter.run(GUARD_PROGRAM)
 
@@ -263,235 +221,6 @@ class ConsistencyGuard:
                             )
                         )
         return findings
-
-    # -- crash-consistency audit (recovery's acceptance check) ----------------------
-
-    def audit(self) -> AuditReport:
-        """Audit the whole coupling for crash leavings.
-
-        Unlike :meth:`scan`, which compares one project against one
-        library, the audit sweeps every invariant a crashed coupled run
-        can break: untagged or mistagged FMCAD versions, dangling
-        checkout tickets, leaked tool sessions, executions stuck
-        ``running``, intents never settled, reservations that outlived
-        their legitimacy, unrecorded staging files, and payload
-        refcounts that disagree with the live object graph.  A clean
-        report is the definition of "recovered".
-        """
-        report = AuditReport()
-        self._audit_versions(report)
-        self._audit_tickets(report)
-        self._audit_sessions(report)
-        self._audit_executions(report)
-        self._audit_intents(report)
-        self._audit_reservations(report)
-        self._audit_staging(report)
-        self._audit_blobs(report)
-        self._audit_wal(report)
-        self._audit_leases(report)
-        self._audit_integrity(report)
-        self._audit_flow_instances(report)
-        return report
-
-    def _audit_wal(self, report: AuditReport) -> None:
-        """Verify the write-ahead log and its checkpoints, when attached.
-
-        A healthy (or freshly recovered) WAL is silent; a torn tail the
-        recovery sweep has not yet dropped, a checkpoint that fails its
-        embedded checksum, or a payload sidecar that no longer proves
-        its digest all surface here as ``wal-integrity`` findings.
-        """
-        wal = getattr(self.jcf.db, "wal", None)
-        if wal is None:
-            return
-        for location, classification in wal.verify():
-            report.findings.append(AuditFinding(
-                "wal-integrity", f"{location}: {classification}"
-            ))
-
-    def _audit_leases(self, report: AuditReport) -> None:
-        """Flag expired checkout leases nobody reclaimed, when attached.
-
-        A lease table (published by a serving engine, probed like the
-        WAL) should never hold an expired lease on a quiesced system —
-        recovery's lease sweep or the engine pump reclaims them.  One
-        still live here means a dead session's write claim is blocking
-        successors: a ``stale-lease`` finding.
-        """
-        table = getattr(self.jcf.db, "lease_table", None)
-        if table is None:
-            return
-        now = table.now()
-        for lease in table.live_leases():
-            if lease.expired(now):
-                report.findings.append(AuditFinding(
-                    "stale-lease",
-                    f"{lease.key}: expired at {lease.expires_ms:.0f}ms "
-                    f"(session {lease.session_id}, token {lease.token}) "
-                    f"but never reclaimed",
-                ))
-
-    def _each_library(self) -> List[Library]:
-        """Every library: the open ones plus any still closed on disk."""
-        libraries = list(self.fmcad.libraries())
-        open_names = {library.name for library in libraries}
-        for name in self.fmcad.known_library_names():
-            if name not in open_names:
-                libraries.append(self.fmcad.open_library(name))
-        return libraries
-
-    def _audit_flow_instances(self, report: AuditReport) -> None:
-        """Tenth sweep: orphaned or stranded durable flow state.
-
-        A ``running`` instance on a quiesced system means a crash
-        interrupted its driver (recovery adopts it back to ``queued``);
-        an instance whose variant no longer resolves is an orphan
-        (recovery compensates it to ``aborted``); a ``dead_letter``
-        instance is parked work an operator must look at — surfaced
-        here so ``audit()`` is the one place that lists everything
-        unfinished.
-        """
-        db = self.jcf.db
-        for obj in db.select("FlowInstance"):
-            status = obj.get("status")
-            ident = (
-                f"flow instance {obj.oid} ({obj.get('flow_name')} on "
-                f"{obj.get('cell')!r})"
-            )
-            if status == FLOW_DEAD_LETTER:
-                report.findings.append(AuditFinding(
-                    "dead-letter-flow",
-                    f"{ident} dead-lettered: {obj.get('note') or '?'}",
-                ))
-                continue
-            if status in FLOW_TERMINAL_STATES:
-                continue
-            try:
-                db.get(obj.get("variant_oid") or "")
-            except Exception:
-                report.findings.append(AuditFinding(
-                    "flow-orphan",
-                    f"{ident} references a variant that no longer exists",
-                ))
-                continue
-            if status == FLOW_RUNNING:
-                report.findings.append(AuditFinding(
-                    "flow-orphan",
-                    f"{ident} still marked running on a quiesced system",
-                ))
-
-    def _audit_versions(self, report: AuditReport) -> None:
-        for library in self._each_library():
-            for cellview in library.cellviews():
-                for version in cellview.versions:
-                    oid = version.properties.get("jcf_oid")
-                    where = (
-                        f"{library.name}:{cellview.name} v{version.number}"
-                    )
-                    if oid is None:
-                        report.findings.append(AuditFinding(
-                            "orphan-version",
-                            f"{where} carries no jcf_oid cross-tag",
-                        ))
-                    elif not self.jcf.db.exists(oid):
-                        report.findings.append(AuditFinding(
-                            "unpaired-tag",
-                            f"{where} tags dead OMS object {oid}",
-                        ))
-
-    def _audit_tickets(self, report: AuditReport) -> None:
-        for ticket in self.fmcad.checkouts.active_tickets():
-            report.findings.append(AuditFinding(
-                "dangling-ticket",
-                f"open checkout of {ticket.cellview_key} by {ticket.user}",
-            ))
-
-    def _audit_sessions(self, report: AuditReport) -> None:
-        for session in self.fmcad.sessions():
-            report.findings.append(AuditFinding(
-                "leaked-session",
-                f"tool session {session.session_id} ({session.tool_name}, "
-                f"user {session.user}) still open",
-            ))
-
-    def _audit_executions(self, report: AuditReport) -> None:
-        for obj in self.jcf.db.select(
-            "ActiveExecVersion", lambda o: o.get("status") == EXEC_RUNNING
-        ):
-            report.findings.append(AuditFinding(
-                "stale-execution",
-                f"execution {obj.oid} still running",
-            ))
-
-    def _audit_intents(self, report: AuditReport) -> None:
-        for intent in self.intents.pending():
-            report.findings.append(AuditFinding(
-                "pending-intent",
-                f"intent {intent.oid} ({intent.get('kind')} on "
-                f"{intent.get('cell')!r} by {intent.get('user')}) never "
-                "settled",
-            ))
-
-    def _audit_reservations(self, report: AuditReport) -> None:
-        db = self.jcf.db
-        for workspace in db.select("Workspace"):
-            owner = workspace.get("owner")
-            try:
-                self.jcf.resources.user(owner)
-                owner_known = True
-            except Exception:
-                owner_known = False
-            for cv_oid in db.target_oids("reserves", workspace.oid):
-                cell_version = JCFCellVersion(db, db.get(cv_oid))
-                if owner_known and not cell_version.published:
-                    continue
-                reason = (
-                    "already published" if cell_version.published
-                    else "unknown owner"
-                )
-                report.findings.append(AuditFinding(
-                    "orphan-reservation",
-                    f"{owner} reserves cell version {cell_version.number} "
-                    f"of {cell_version.cell.name!r} ({reason})",
-                ))
-
-    def _audit_staging(self, report: AuditReport) -> None:
-        for path in self.jcf.staging.orphan_files():
-            report.findings.append(AuditFinding(
-                "staging-orphan",
-                f"unrecorded staging file {path.name}",
-            ))
-        # per-run scheduler sandboxes live in subdirectories of the
-        # staging root; a clean run removes its own, so any file found
-        # down there is a crashed run's leaving
-        root = self.jcf.staging.root
-        for subdir in sorted(p for p in root.iterdir() if p.is_dir()):
-            for path in sorted(subdir.rglob("*")):
-                if path.is_file():
-                    report.findings.append(AuditFinding(
-                        "staging-orphan",
-                        "unrecorded staging file "
-                        f"{subdir.name}/{path.name}",
-                    ))
-
-    def _audit_blobs(self, report: AuditReport) -> None:
-        for problem in self.jcf.db.verify_payload_refcounts():
-            report.findings.append(AuditFinding("blob-refcount", problem))
-
-    def _audit_integrity(self, report: AuditReport) -> None:
-        """Report-only integrity scrub over every storage area.
-
-        Only *actionable* damage counts: informational orphans are
-        covered by the dedicated sweeps above, and known-quarantined
-        losses were already surfaced by the recovery pass that
-        quarantined them — re-reporting forever would make a recovered
-        store permanently un-auditable.
-        """
-        for finding in Scrubber(self.jcf, self.fmcad).scrub().findings:
-            if finding.actionable:
-                report.findings.append(
-                    AuditFinding("integrity", str(finding))
-                )
 
     # -- the FMCAD baseline (what the slave notices by itself) ----------------------
 

@@ -23,7 +23,8 @@ from repro.core.encapsulation import (
 )
 from repro.core.hierarchy import HierarchyManager
 from repro.core.mapping import DataModelMapper
-from repro.core.recovery import CouplingRecovery, IntentJournal, RecoveryReport
+from repro.core import recovery
+from repro.core.recovery import AuditReport, IntentJournal, RecoveryReport
 from repro.core.scheduler import BatchResult, BatchScheduler, RunRequest
 from repro.fmcad.framework import FMCADFramework
 from repro.fmcad.library import Library
@@ -125,7 +126,6 @@ class HybridFramework:
             self.jcf, self.fmcad, self.mapper, self.guard
         )
         self.intents = IntentJournal(self.jcf.db)
-        self.recovery = CouplingRecovery(self.jcf, self.fmcad)
         # durable flows, triggers and the fair queue are stateless over
         # the OMS store, so persisted instances, trigger definitions and
         # pending events are simply there when a reopened root looks
@@ -340,11 +340,13 @@ class HybridFramework:
         """Repair the leavings of crashed coupled runs (see
         :mod:`repro.core.recovery`).  Run on a quiesced environment —
         typically right after :meth:`reopen`."""
-        return self.recovery.recover()
+        return recovery.recover(self)
 
-    def audit(self):
-        """Cross-framework crash-consistency audit; clean means healthy."""
-        return self.guard.audit()
+    def audit(self) -> AuditReport:
+        """Cross-framework crash-consistency audit; clean means healthy.
+        Read-only: it runs the detect rule of every row recovery repairs
+        from."""
+        return recovery.audit(self)
 
     # -- statistics ------------------------------------------------------------------------
 

@@ -39,7 +39,7 @@ cells and designers — onto a worker pool:
 
 A run that raises :class:`~repro.faults.CrashFault` poisons its cell:
 later runs on the same ``(library, cell)`` are *blocked* (skipped), the
-sandbox is left on disk for :meth:`CouplingRecovery.recover`, and the
+sandbox is left on disk for :meth:`HybridFramework.recover`, and the
 rest of the batch proceeds.
 """
 
@@ -145,12 +145,6 @@ class BatchResult:
     @property
     def succeeded(self) -> List[RunOutcome]:
         return self.by_status(RUN_OK)
-
-    def raise_first_error(self) -> None:
-        """Re-raise the first failure (for callers that want fail-fast)."""
-        for outcome in self.outcomes:
-            if outcome.error is not None:
-                raise outcome.error
 
 
 class BatchScheduler:

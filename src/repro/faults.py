@@ -19,8 +19,8 @@ module provides the harness the crash-consistency suite drives:
   protocol code deliberately performs **no** cleanup for it (open OMS
   transactions self-abort, which models the database's own crash
   recovery; everything else — tickets, sessions, staged files, FMCAD
-  version files — stays broken until
-  :class:`repro.core.recovery.CouplingRecovery` repairs it).
+  version files — stays broken until ``HybridFramework.recover()``
+  repairs it).
 * :class:`TransientFault` simulates a recoverable glitch (NFS hiccup,
   tool license blip).  Retry boundaries call :func:`with_retries`, which
   retries with bounded exponential backoff charged to the simulated
@@ -269,12 +269,6 @@ class FaultPlan:
             seed=rng.randrange(2 ** 31),
         )
 
-    def add_crash(self, point: str, on_hit: int = 1) -> "FaultPlan":
-        self._rules.setdefault(point, []).append(
-            FaultRule(point, KIND_CRASH, on_hit)
-        )
-        return self
-
     def add_corrupt(
         self,
         point: str,
@@ -286,14 +280,6 @@ class FaultPlan:
         self._rules.setdefault(point, []).append(
             FaultRule(point, KIND_CORRUPT, on_hit, times, mode=mode,
                       seed=seed)
-        )
-        return self
-
-    def add_transient(
-        self, point: str, on_hit: int = 1, times: int = 1
-    ) -> "FaultPlan":
-        self._rules.setdefault(point, []).append(
-            FaultRule(point, KIND_TRANSIENT, on_hit, times)
         )
         return self
 

@@ -105,7 +105,9 @@ class Library:
         describes the directory's contents, so a framework restart
         recovers cells, cellviews and versions from it.  Versions written
         but never flushed are invisible after reopening — faithfully: the
-        metadata was the designer's responsibility.
+        metadata was the designer's responsibility.  ``.meta`` records
+        versions only, so a cell with none yet is rebuilt from the
+        directory :meth:`create_cell` made for it.
         """
         library = cls(name, root, clock=clock)
         records, tick = library.metafile.read()
@@ -135,6 +137,10 @@ class Library:
                 # of this version stay verified across restarts
                 version._content_digest = record.digest
             cellview.add_version(version)
+        for entry in sorted(library.directory.iterdir()):
+            cell_dir = entry.is_dir() and not entry.name.startswith(".")
+            if cell_dir and not library.has_cell(entry.name):
+                library.create_cell(entry.name)
         library.tick = tick
         return library
 

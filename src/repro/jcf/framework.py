@@ -112,7 +112,7 @@ class JCFFramework:
         find a crashed run's leavings by scanning subdirectories.  The
         caller owns cleanup: the scheduler clears a sandbox after a
         clean run and deliberately leaves crash leavings for
-        ``CouplingRecovery.recover()``.
+        ``HybridFramework.recover()``.
         """
         sandbox = StagingArea(
             self.db,

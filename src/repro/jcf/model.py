@@ -190,8 +190,8 @@ def build_jcf_schema() -> Schema:
             AttributeDef("note", "str"),
         ],
         doc="Durable intent record journalled before any cross-framework "
-            "side effect; CouplingRecovery rolls pending intents forward "
-            "or back after a crash (DESIGN.md §10)",
+            "side effect; HybridFramework.recover() rolls pending intents "
+            "forward or back after a crash (DESIGN.md §10)",
     )
 
     # -- Durable flow orchestration (DESIGN.md §15) -----------------------------

@@ -158,11 +158,6 @@ def _probe(root: pathlib.Path) -> FsCapabilities:
     )
 
 
-def clear_probe_cache() -> None:
-    """Forget cached probes (tests re-probing under env overrides)."""
-    _probed.clear()
-
-
 def clone_file(
     src: pathlib.Path,
     dst: pathlib.Path,

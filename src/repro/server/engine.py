@@ -186,9 +186,8 @@ class ServeEngine:
         #: simulated instant the serving timeline starts; every shard
         #: lane opens here so lane ends are comparable
         self.epoch_ms = self.clock.now_ms
-        #: per-cell checkout leases; published on the database so
-        #: CouplingRecovery and ConsistencyGuard find them the same way
-        #: they find the WAL (optional attachment, getattr-probed)
+        #: per-cell checkout leases; published on the database as an
+        #: optional attachment the audit and recovery getattr-probe
         self.leases = LeaseTable(ttl_ms=lease_ttl_ms, now_fn=self._now)
         self.db.lease_table = self.leases
         # commit-time fence: the FMCAD checkin path refuses to write a

@@ -215,7 +215,7 @@ class LeaseTable:
     def reclaim_due(self, now_ms: Optional[float] = None) -> List[Lease]:
         """Reclaim every expired lease; returns what was reclaimed.
 
-        Driven by the engine pump, by :meth:`CouplingRecovery.recover`
+        Driven by the engine pump, by :meth:`HybridFramework.recover`
         and lazily by every grant path, so a dead session's claims are
         released the moment anyone looks.
         """

@@ -205,6 +205,16 @@ class TestReopenFromDisk:
         assert len(orphans) == 1
         assert orphans[0].read_bytes() == b"never flushed"
 
+    def test_open_rebuilds_cells_without_versions(self, tmp_path, clock):
+        # .meta records versions only; the cell directory is the record
+        library = self.make_flushed_library(tmp_path, clock)
+        library.create_cell("mux")
+        library.flush_meta("alice")
+        reopened = Library.open("persist", tmp_path / "libs", clock=clock)
+        assert [cell.name for cell in reopened.cells()] == ["alu", "mux"]
+        assert reopened.cell("mux").cellviews() == []
+        assert reopened.tick == library.metafile.tick()
+
     def test_open_empty_directory(self, tmp_path, clock):
         Library("fresh", tmp_path / "libs", clock=clock)
         reopened = Library.open("fresh", tmp_path / "libs", clock=clock)

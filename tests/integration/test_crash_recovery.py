@@ -3,7 +3,7 @@
 The crash matrix drives a two-activity coupled workload (schematic entry
 then digital simulation) with a deterministic crash scheduled at each
 registered fault point the workload traverses, then asserts the acceptance
-criterion of the fault model: after ``CouplingRecovery.recover()`` the
+criterion of the fault model: after ``HybridFramework.recover()`` the
 cross-framework audit is clean and the workload completes when rerun.
 
 A hypothesis suite does the same under seeded random schedules (crash or

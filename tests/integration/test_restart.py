@@ -13,6 +13,8 @@ import pytest
 from repro.core import HybridFramework
 from repro.core.mapping import WORKING_VARIANT
 from repro.errors import FlowOrderError
+from repro.server.engine import ServeEngine
+from repro.workloads.loadgen import ScenarioSpec, build_scenario, replay_engine
 from repro.workloads.scripts import (
     inverter_chain_bench,
     inverter_chain_editor,
@@ -204,3 +206,32 @@ class TestDurableByDefault:
 
         reopened = HybridFramework.reopen(root)
         assert reopened.jcf.db.policy["cross_project_sharing"] is True
+
+
+class TestScenarioReopen:
+    """A saved scenario keeps the cells that have no versions yet."""
+
+    SPEC = ScenarioSpec(teams=2, designers_per_team=2)
+
+    @pytest.fixture
+    def reopened(self, tmp_path):
+        hybrid, plans = build_scenario(tmp_path / "env", self.SPEC)
+        hybrid.save_state()
+        return HybridFramework.reopen(tmp_path / "env"), plans
+
+    def test_reopen_keeps_every_fmcad_cell(self, reopened):
+        hybrid, plans = reopened
+        cells = {
+            (library.name, cell.name)
+            for library in hybrid.fmcad.libraries()
+            for cell in library.cells()
+        }
+        assert cells == {(p.library, c) for p in plans for c in p.cells}
+        assert len(cells) == 4
+
+    def test_served_checkin_on_reopened_workspace_acks_ok(self, reopened):
+        hybrid, plans = reopened
+        engine = ServeEngine(hybrid, shards=2, max_batch=4, window_ms=500.0)
+        report = replay_engine(engine, plans, self.SPEC)
+        assert report.ok == self.SPEC.total_runs
+        assert hybrid.audit().clean

@@ -5,7 +5,7 @@ artifacts at rest, and asserts the scrubber's contract: detection with
 classification, peer repair across the framework boundary in both
 directions (OMS blob <-> FMCAD version file), quarantine of artifacts
 with no surviving verified copy, and the wiring into
-``CouplingRecovery.recover()`` / ``ConsistencyGuard.audit()``.
+``HybridFramework.recover()`` / ``HybridFramework.audit()``.
 """
 
 import hashlib
