@@ -1,13 +1,21 @@
-"""OMS link-index microbenchmark — naive O(E) scan vs adjacency index.
+"""OMS index microbenchmarks — naive scans vs the store's indexes.
 
-The seed kernel answered ``targets()``/``sources()`` by scanning every
-``(source, target)`` pair of the relation, so each metadata query on the
-JCF desktop hot path cost O(E).  The adjacency-indexed
-:class:`~repro.oms.links.LinkStore` answers the same queries in
-O(degree).  This benchmark builds relations of 10k–100k links, probes
-random sources with both implementations (the naive scan reproduces the
-seed code on the very same data) and persists the observed speedup to
-``benchmarks/results/oms_index_microbench.txt``.
+Two arms, both persisted to ``benchmarks/results/oms_index_microbench.txt``:
+
+* **links.**  The seed kernel answered ``targets()``/``sources()`` by
+  scanning every ``(source, target)`` pair of the relation, so each
+  metadata query on the JCF desktop hot path cost O(E).  The
+  adjacency-indexed :class:`~repro.oms.links.LinkStore` answers the same
+  queries in O(degree).  Relations of 10k–100k links are probed at
+  random sources with both implementations (the naive scan reproduces
+  the seed code on the very same data).
+* **select.**  ``select(type)`` used to sort *every* object in the
+  database and then filter by type — O(N log N) per lookup, which every
+  ``find_user``/``find_cell``-style lookup paid.  The per-type extents
+  walk only the k objects of that type.  10k–100k objects spread over
+  ten entity types are probed for one small type (1% of the objects),
+  both whole and through a name predicate, against the full-scan-and-
+  sort reference.
 
 Run standalone (``python benchmarks/bench_oms_index.py [--smoke]``) or
 via ``pytest benchmarks/bench_oms_index.py --benchmark-only -s``.
@@ -38,6 +46,16 @@ SIZES = [10_000, 100_000]
 SMOKE_SIZES = [1_000, 5_000]
 FANOUT = 10
 PROBES = 200
+
+#: select arm: database sizes (objects), entity types, probes per size
+SELECT_SIZES = [10_000, 100_000]
+SMOKE_SELECT_SIZES = [2_000, 20_000]
+SELECT_TYPES = 10
+#: the probed type holds one object in SMALL_EVERY
+SMALL_EVERY = 100
+SELECT_PROBES = 20
+#: required select speed-up at the largest size, smoke and full alike
+SELECT_THRESHOLD = 10.0
 
 RESULTS_PATH = (
     pathlib.Path(__file__).parent / "results" / "oms_index_microbench.txt"
@@ -150,15 +168,110 @@ def run_microbench(
     return header + "\n".join(rows) + footer, speedups
 
 
+def build_typed_db(n_objects: int) -> Tuple[OMSDatabase, str]:
+    """*n_objects* spread over SELECT_TYPES types; returns (db, small type).
+
+    Creation interleaves the types, so no type's objects are contiguous
+    in allocation order.
+    """
+    schema = Schema("bench-select")
+    names = [f"Type{i}" for i in range(SELECT_TYPES)]
+    for name in names:
+        schema.define_entity(
+            name, [AttributeDef("name", "str", required=True)]
+        )
+    db = OMSDatabase(schema)
+    for i in range(n_objects):
+        if i % SMALL_EVERY == 0:
+            type_name = names[0]
+        else:
+            type_name = names[1 + i % (SELECT_TYPES - 1)]
+        db.create(type_name, {"name": f"o{i}"})
+    return db, names[0]
+
+
+def naive_select(
+    db: OMSDatabase, type_name: str, predicate=None
+) -> List[OMSObject]:
+    """The pre-extent implementation: sort every object, then filter."""
+    return [
+        obj
+        for oid, obj in sorted(
+            db._objects.items(), key=lambda kv: sort_key(kv[0])
+        )
+        if obj.type_name == type_name and (predicate is None or predicate(obj))
+    ]
+
+
+def _named(name: str):
+    """A ``find_user``-style predicate: match one object by name."""
+    return lambda obj: obj.get("name") == name
+
+
+def run_select_microbench(
+    sizes: List[int], probes: int = SELECT_PROBES, seed: int = 7
+) -> Tuple[str, Dict[int, float]]:
+    """Benchmark select per size; returns (report, size -> select speedup)."""
+    rows = []
+    speedups: Dict[int, float] = {}
+    for n_objects in sizes:
+        db, small = build_typed_db(n_objects)
+        rng = random.Random(seed)
+        names = [obj.get("name") for obj in db.select(small)]
+        wanted = [rng.choice(names) for _ in range(probes)]
+        # correctness guard: both paths must answer identically
+        assert db.select(small) == naive_select(db, small)
+        for name in wanted[:3]:
+            assert db.select(small, _named(name)) == naive_select(
+                db, small, _named(name)
+            )
+        naive_us = _time_per_op(lambda _: naive_select(db, small), wanted)
+        extent_us = _time_per_op(lambda _: db.select(small), wanted)
+        naive_named_us = _time_per_op(
+            lambda name: naive_select(db, small, _named(name)), wanted
+        )
+        extent_named_us = _time_per_op(
+            lambda name: db.select(small, _named(name)), wanted
+        )
+        speedups[n_objects] = naive_us / extent_us
+        rows.append(
+            f"{n_objects:>8,}  {len(names):>5,}  {naive_us:>14.1f}  "
+            f"{extent_us:>15.1f}  {naive_us / extent_us:>10.1f}x  "
+            f"{naive_named_us:>14.1f}  {extent_named_us:>15.1f}  "
+            f"{naive_named_us / extent_named_us:>10.1f}x"
+        )
+    header = (
+        "OMS select microbenchmark — full scan and sort vs per-type extent\n"
+        f"{SELECT_TYPES} entity types, probed type holds 1 object in "
+        f"{SMALL_EVERY}, {probes} probes per size, wall-clock µs/op\n"
+        "\n"
+        f"{'objects':>8}  {'k':>5}  {'naive all (µs)':>14}  "
+        f"{'extent all (µs)':>15}  {'speedup':>11}  {'naive name (µs)':>14}  "
+        f"{'extent name (µs)':>15}  {'speedup':>11}\n"
+    )
+    footer = (
+        "\nreading: the full scan sorts all N objects on every lookup while\n"
+        "the extent walks only the k objects of the probed type, so a\n"
+        "metadata lookup no longer grows with the rest of the database."
+    )
+    return header + "\n".join(rows) + footer, speedups
+
+
 class TestOMSIndexBench:
     def test_index_vs_naive_scan(self, benchmark, report_writer):
         report, speedups = run_microbench(SIZES)
-        report_writer("oms_index_microbench", report)
+        select_report, select_speedups = run_select_microbench(SELECT_SIZES)
+        report_writer("oms_index_microbench", report + "\n\n" + select_report)
         db, sources, _ = build_db(SIZES[0])
         benchmark(db.targets, "edge", sources[0])
         assert speedups[max(SIZES)] >= 10, (
             f"indexed targets() only {speedups[max(SIZES)]:.1f}x faster "
             f"than the naive scan at {max(SIZES):,} links"
+        )
+        top = max(SELECT_SIZES)
+        assert select_speedups[top] >= SELECT_THRESHOLD, (
+            f"extent select() only {select_speedups[top]:.1f}x faster "
+            f"than the full scan at {top:,} objects"
         )
 
 
@@ -167,27 +280,39 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="small sizes, relaxed threshold, no results file (CI)",
+        help="small sizes, relaxed link threshold, no results file (CI)",
     )
     args = parser.parse_args(argv)
     sizes = SMOKE_SIZES if args.smoke else SIZES
+    select_sizes = SMOKE_SELECT_SIZES if args.smoke else SELECT_SIZES
     report, speedups = run_microbench(sizes)
+    select_report, select_speedups = run_select_microbench(select_sizes)
+    report = report + "\n\n" + select_report
     print(report)
-    top = max(sizes)
-    threshold = 3.0 if args.smoke else 10.0
     if not args.smoke:
         RESULTS_PATH.parent.mkdir(exist_ok=True)
         RESULTS_PATH.write_text(report + "\n", encoding="utf-8")
         print(f"\nwrote {RESULTS_PATH}")
-    if speedups[top] < threshold:
-        print(
-            f"FAIL: speedup {speedups[top]:.1f}x at {top:,} links "
-            f"(threshold {threshold}x)",
-            file=sys.stderr,
-        )
-        return 1
-    print(f"OK: {speedups[top]:.1f}x speedup at {top:,} links")
-    return 0
+    top = max(sizes)
+    select_top = max(select_sizes)
+    checks = [
+        ("targets()", speedups[top], 3.0 if args.smoke else 10.0,
+         f"{top:,} links"),
+        ("select()", select_speedups[select_top], SELECT_THRESHOLD,
+         f"{select_top:,} objects"),
+    ]
+    failed = False
+    for what, speedup, threshold, where in checks:
+        if speedup < threshold:
+            print(
+                f"FAIL: {what} speedup {speedup:.1f}x at {where} "
+                f"(threshold {threshold}x)",
+                file=sys.stderr,
+            )
+            failed = True
+        else:
+            print(f"OK: {what} {speedup:.1f}x speedup at {where}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -68,6 +68,10 @@ def _synchronized(method):
     return wrapper
 
 
+def _oid_order(obj: OMSObject):
+    return sort_key(obj.oid)
+
+
 class OMSDatabase:
     """Schema-checked object store with links, transactions and staging.
 
@@ -93,7 +97,11 @@ class OMSDatabase:
         self.schema = schema
         self.clock = clock or SimClock()
         self._allocator = allocator or IdAllocator()
+        #: oid -> live object, and the per-type extents (type -> {oid ->
+        #: object}) that select/count read; both mutated ONLY via
+        #: _insert/_remove so they can never desync
         self._objects: Dict[str, OMSObject] = {}
+        self._extents: Dict[str, Dict[str, OMSObject]] = {}
         #: content-addressed payload table; every stored payload is
         #: interned here, so identical design data is held exactly once
         self._blobs = BlobStore()
@@ -380,12 +388,12 @@ class OMSDatabase:
         oid = self._allocator.allocate(type_name)
         handle = self._intern_payload(payload, payload_delta_base)
         obj = OMSObject(oid, entity, complete, handle)
-        self._objects[oid] = obj
+        self._insert(obj)
         self._bump_epoch()
         self.clock.charge_metadata_op()
 
         def undo() -> None:
-            self._objects.pop(oid, None)
+            self._remove(oid)
             if handle is not None:
                 # the object is gone for good, so a plain decref suffices
                 self._blobs.decref(handle.digest)
@@ -404,6 +412,20 @@ class OMSDatabase:
             "delta_base": payload_delta_base,
         })
         return obj
+
+    # Every change to _objects and the per-type extents goes through
+    # _insert/_remove — create, delete, their undo closures, WAL replay
+    # and snapshot restore alike — the same single-primitive rule as the
+    # link store's _link_add/_link_remove.
+
+    def _insert(self, obj: OMSObject) -> None:
+        self._objects[obj.oid] = obj
+        self._extents.setdefault(obj.type_name, {})[obj.oid] = obj
+
+    def _remove(self, oid: str) -> None:
+        obj = self._objects.pop(oid, None)
+        if obj is not None:
+            del self._extents[obj.type_name][oid]
 
     def get(self, oid: str) -> OMSObject:
         """Return the live object with id *oid*."""
@@ -426,7 +448,7 @@ class OMSDatabase:
         """
         obj = self.get(oid)
         removed_links = self._link_index.remove_touching(oid)
-        del self._objects[oid]
+        self._remove(oid)
         obj._deleted = True
         handle = obj.payload_handle
         freed = self._drop_payload_ref(handle.digest) if handle else None
@@ -439,7 +461,7 @@ class OMSDatabase:
                     self._blobs.intern(freed)
                 else:
                     self._blobs.incref(handle.digest)
-            self._objects[oid] = obj
+            self._insert(obj)
             obj._deleted = False
             for rel_name, pair in removed_links:
                 self._link_add(rel_name, *pair)
@@ -777,19 +799,25 @@ class OMSDatabase:
         type_name: str,
         predicate: Optional[Callable[[OMSObject], bool]] = None,
     ) -> List[OMSObject]:
-        """All live objects of *type_name*, optionally filtered, id-ordered."""
+        """All live objects of *type_name*, optionally filtered, id-ordered.
+
+        Walks only that type's extent — O(k log k) in the k objects of the
+        type, independent of the rest of the database.
+        """
         self.schema.entity(type_name)  # raises on unknown type
-        matches = [
-            obj
-            for oid, obj in sorted(
-                self._objects.items(), key=lambda kv: sort_key(kv[0])
-            )
-            if obj.type_name == type_name and (predicate is None or predicate(obj))
-        ]
+        # a fresh list, so a predicate that mutates the store (the mutex
+        # is reentrant) cannot disturb the walk
+        matches = list(self._extents.get(type_name, {}).values())
+        if predicate is not None:
+            matches = [obj for obj in matches if predicate(obj)]
+        matches.sort(key=_oid_order)
         return matches
 
+    @_synchronized
     def count(self, type_name: str) -> int:
-        return len(self.select(type_name))
+        """Number of live objects of *type_name*, O(1)."""
+        self.schema.entity(type_name)  # raises on unknown type
+        return len(self._extents.get(type_name, ()))
 
     # -- closed interface (Section 2.1 / Section 3.6 ablation) -------------------
 

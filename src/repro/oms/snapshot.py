@@ -182,7 +182,7 @@ def restore_snapshot(
         # are deduplicated on restore too (delta chains are flattened by
         # the dump; dedup is by content, so restore keeps one copy each)
         database._attach_payload(obj, payload)
-        database._objects[entry["oid"]] = obj
+        database._insert(obj)
         database._allocator.observe(entry["oid"])
     for rel_name, pairs in doc["links"].items():
         schema.relationship(rel_name)  # validates existence

@@ -12,9 +12,10 @@ Python — or, where the filesystem allows it, without moving them at all:
 * **mmap**: base-resident blobs can be served as a mapping instead of a
   heap copy (:meth:`repro.oms.blobs.BlobStore.open_view`).
 
-Capabilities differ per filesystem, so they are probed **once per store
-root** (two scratch files, one clone attempt each way) and cached by
-resolved path.  Every consumer degrades gracefully: the public contract
+Capabilities differ per filesystem, so they are probed **once per
+filesystem** (two scratch files, one clone attempt each way) and cached
+by the device id of the root — every staging sandbox on one filesystem
+shares one probe.  Every consumer degrades gracefully: the public contract
 is *byte-identical results on every rung of the ladder*, only the cost
 changes.  The env switches ``REPRO_DISABLE_REFLINK`` and
 ``REPRO_DISABLE_MMAP`` force the degraded rungs — CI's fallback-matrix
@@ -65,9 +66,10 @@ class FsCapabilities:
         return "+".join(flags) if flags else "copy-only"
 
 
-#: probe results cached per resolved root — the probe costs two scratch
-#: files and a few syscalls, and a filesystem does not change its mind
-_probed: Dict[str, FsCapabilities] = {}
+#: probe results cached per filesystem (``st_dev`` of the probed root) —
+#: the probe costs two scratch files and a few syscalls, a filesystem does
+#: not change its mind, and the cache stays as small as the mount table
+_probed: Dict[int, FsCapabilities] = {}
 
 
 def _env_disabled(name: str) -> bool:
@@ -91,13 +93,15 @@ def reflink_supported(src_fd: int, dst_fd: int) -> bool:
 def probe_capabilities(root: pathlib.Path) -> FsCapabilities:
     """Probe (once) what the filesystem under *root* supports.
 
-    Results are cached by resolved root.  The env overrides
-    ``REPRO_DISABLE_REFLINK`` / ``REPRO_DISABLE_MMAP`` are read on every
-    call (not cached), so a test can flip them around a cached probe.
+    Results are cached per filesystem (the root's device id), so a fresh
+    directory on an already probed filesystem costs one ``stat``.  The
+    env overrides ``REPRO_DISABLE_REFLINK`` / ``REPRO_DISABLE_MMAP`` are
+    read on every call (not cached), so a test can flip them around a
+    cached probe.
     """
     root = pathlib.Path(root)
     root.mkdir(parents=True, exist_ok=True)
-    key = str(root.resolve())
+    key = os.stat(root).st_dev
     caps = _probed.get(key)
     if caps is None:
         caps = _probe(root)

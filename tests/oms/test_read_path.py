@@ -23,6 +23,7 @@ from repro.oms.locks import DigestLockTable
 from repro.oms.query import QueryEngine
 from repro.oms.readcache import MaterializationCache
 from repro.oms.storage import StagingArea
+from repro.oms import zerocopy
 from repro.oms.zerocopy import FsCapabilities, probe_capabilities
 
 PAYLOAD = b"cellview bytes: " + bytes(range(256)) * 16
@@ -518,6 +519,26 @@ class TestCapabilityProbe:
         assert first == second
         # the scratch files are cleaned up
         assert not list(root.iterdir())
+
+    def test_sandboxes_on_one_filesystem_probe_once(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(zerocopy, "_probed", {})
+        probes = []
+        real_probe = zerocopy._probe
+        monkeypatch.setattr(
+            zerocopy, "_probe",
+            lambda root: probes.append(root) or real_probe(root),
+        )
+        first = probe_capabilities(tmp_path / "sandbox-a")
+        second = probe_capabilities(tmp_path / "sandbox-b")
+        assert first == second
+        assert probes == [tmp_path / "sandbox-a"]
+        assert len(zerocopy._probed) == 1
+        # the env knobs are still read on every call, cached probe or not
+        monkeypatch.setenv("REPRO_DISABLE_MMAP", "1")
+        assert not probe_capabilities(tmp_path / "sandbox-c").mmap
+        assert len(probes) == 1
 
     def test_env_override_applies_to_cached_probe(
         self, tmp_path, monkeypatch

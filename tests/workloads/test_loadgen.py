@@ -76,6 +76,17 @@ class TestReplayReport:
         assert summary["rejected"] == {"throttled": 1}
         assert set(summary["latency_ms"]) == {"p50", "p95", "p99"}
 
+    def test_summary_reports_only_the_measured_timeline(self):
+        simulated = ReplayReport(ok=10, makespan_ms=2000.0).summary()
+        assert simulated["checkins_per_sim_s"] == 5.0
+        assert "wall_s" not in simulated
+        assert "checkins_per_wall_s" not in simulated
+        socket = ReplayReport(ok=10, wall_s=4.0).summary()
+        assert socket["checkins_per_wall_s"] == 2.5
+        assert socket["wall_s"] == 4.0
+        assert "makespan_ms" not in socket
+        assert "checkins_per_sim_s" not in socket
+
 
 class TestReplayEngine:
     SPEC = ScenarioSpec(teams=2, designers_per_team=2, runs_per_designer=2)
@@ -130,3 +141,8 @@ class TestLoadgenCli:
         assert printed["dropped_sessions"] == 0
         assert printed["audit_clean"] is True
         assert printed["ok"] == 4
+        # the socket path has no simulated makespan: its throughput is
+        # wall-clock, and no always-zero simulated field is printed
+        assert printed["checkins_per_wall_s"] > 0
+        assert "makespan_ms" not in printed
+        assert "checkins_per_sim_s" not in printed
